@@ -15,8 +15,10 @@ format the whole pipeline speaks instead:
   the frequency oracles and shard merging; process shards receive index
   arrays, never pickled state objects.
 * :class:`ColumnarStreamView` — per-timestamp ``ReportBatch`` views over a
-  finished :class:`~repro.stream.stream.StreamDataset`, built in one
-  vectorized pass over the trajectories.  Row order within a timestamp is
+  finished :class:`~repro.stream.stream.StreamDataset`, built in one flat
+  pass: every trajectory's cells are gathered into one array once, and
+  all rows are then derived by whole-array numpy operations (one
+  ``move_index_lookup``, one stable sort).  Row order within a timestamp is
   the dataset's trajectory order, exactly matching
   :meth:`~repro.stream.stream.StreamDataset.participants_at`, so the
   columnar and object paths consume identical RNG streams.
@@ -30,11 +32,12 @@ index is which transition) stays owned by ``TransitionStateSpace``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import DomainError
+from repro.exceptions import DatasetError, DomainError
 from repro.stream.events import StateKind, TransitionState
 from repro.stream.state_space import TransitionStateSpace
 
@@ -201,11 +204,19 @@ def as_report_batch(
 class ColumnarStreamView:
     """Per-timestamp columnar views over a finished stream dataset.
 
-    One pass over the trajectories builds four flat arrays (timestamp, user
-    id, state index, kind); a stable sort groups them by timestamp while
-    keeping trajectory order inside each group — the exact row order
-    ``participants_at`` produces.  Every per-timestamp accessor is then an
-    O(1) slice.
+    One flat pass builds four arrays (timestamp, user id, state index,
+    kind): the trajectories' lengths, start times, user ids and cells are
+    gathered once, each row's timestamp follows by ``repeat``/``cumsum``,
+    enter/quit rows are set by fancy indexing, and every interior move is
+    indexed by a single ``move_index_lookup`` call.  A stable sort then
+    groups the rows by timestamp while keeping trajectory order inside each
+    group — the exact row order ``participants_at`` produces.  Every
+    per-timestamp accessor is then an O(1) slice.
+
+    Raises :class:`~repro.exceptions.DatasetError` for a trajectory with no
+    cells, and :class:`~repro.exceptions.DomainError` for a cell outside
+    the grid or a move between non-adjacent cells; the error reported is
+    the one the first offending trajectory (in dataset order) would raise.
     """
 
     def __init__(self, dataset, space: TransitionStateSpace) -> None:
@@ -215,46 +226,59 @@ class ColumnarStreamView:
         self._build(dataset, space)
 
     def _build(self, dataset, space: TransitionStateSpace) -> None:
-        ts: list[np.ndarray] = []
-        uids: list[np.ndarray] = []
-        idxs: list[np.ndarray] = []
-        kinds: list[np.ndarray] = []
-        include_eq = space.include_eq
-        enter_offset = getattr(space, "_enter_offset", None)
-        quit_offset = getattr(space, "_quit_offset", None)
-        for traj in dataset.trajectories:
-            cells = np.asarray(traj.cells, dtype=np.int64)
-            L = cells.size
-            # enter at start, moves at start+1..end, quit at end+1
-            t0 = traj.start_time
-            n_rows = L + 1
-            t_arr = np.arange(t0, t0 + n_rows, dtype=np.int64)
-            uid_arr = np.full(n_rows, traj.user_id, dtype=np.int64)
-            kind_arr = np.full(n_rows, KIND_MOVE, dtype=np.int8)
-            kind_arr[0] = KIND_ENTER
-            kind_arr[-1] = KIND_QUIT
-            idx_arr = np.full(n_rows, -1, dtype=np.int64)
-            if L > 1:
-                idx_arr[1:L] = space.move_index_lookup(cells[:-1], cells[1:])
-            if include_eq:
-                idx_arr[0] = enter_offset + cells[0]
-                idx_arr[-1] = quit_offset + cells[-1]
-            ts.append(t_arr)
-            uids.append(uid_arr)
-            idxs.append(idx_arr)
-            kinds.append(kind_arr)
-        if ts:
-            t_all = np.concatenate(ts)
-            order = np.argsort(t_all, kind="stable")
-            self._t = t_all[order]
-            self._uid = np.concatenate(uids)[order]
-            self._idx = np.concatenate(idxs)[order]
-            self._kind = np.concatenate(kinds)[order]
-        else:
-            self._t = np.empty(0, dtype=np.int64)
-            self._uid = np.empty(0, dtype=np.int64)
-            self._idx = np.empty(0, dtype=np.int64)
-            self._kind = np.empty(0, dtype=np.int8)
+        trajs = dataset.trajectories
+        n = len(trajs)
+        lengths = np.fromiter((len(t.cells) for t in trajs), np.int64, count=n)
+        starts = np.fromiter((t.start_time for t in trajs), np.int64, count=n)
+        uids = np.fromiter((t.user_id for t in trajs), np.int64, count=n)
+        empty = np.flatnonzero(lengths == 0)
+        if empty.size:
+            raise DatasetError(
+                f"trajectory of user {int(uids[empty[0]])} has no cells"
+            )
+        cells = np.fromiter(
+            chain.from_iterable(t.cells for t in trajs),
+            np.int64,
+            count=int(lengths.sum()),
+        )
+        # Trajectory i owns cells [cell_lo[i], cell_lo[i] + L_i) and rows
+        # [row_lo[i], row_lo[i] + L_i]: enter at start, moves at
+        # start+1..end, quit at end+1 (one more row than cells).
+        cell_lo = np.cumsum(lengths) - lengths
+        row_lo = cell_lo + np.arange(n, dtype=np.int64)
+        n_rows = lengths + 1
+        t_all = np.repeat(starts - row_lo, n_rows) + np.arange(
+            int(n_rows.sum()), dtype=np.int64
+        )
+        kind_all = np.full(t_all.size, KIND_MOVE, dtype=np.int8)
+        kind_all[row_lo] = KIND_ENTER
+        kind_all[row_lo + lengths] = KIND_QUIT
+        # Destination cells of every interior move, in trajectory order.
+        is_dest = np.ones(cells.size, dtype=bool)
+        is_dest[cell_lo] = False
+        dest = np.flatnonzero(is_dest)
+        outside = np.flatnonzero((cells < 0) | (cells >= space.n_cells))
+        if outside.size:
+            # Moves of earlier trajectories fail first, as they would one
+            # trajectory at a time.
+            first = np.searchsorted(cell_lo, outside[0], side="right") - 1
+            prior = dest[dest < cell_lo[first]]
+            space.move_index_lookup(cells[prior - 1], cells[prior])
+            raise DomainError("cell ids outside the grid")
+        idx_all = np.full(t_all.size, -1, dtype=np.int64)
+        idx_all[kind_all == KIND_MOVE] = space.move_index_lookup(
+            cells[dest - 1], cells[dest]
+        )
+        if space.include_eq:
+            idx_all[row_lo] = space.enter_indices[cells[cell_lo]]
+            idx_all[row_lo + lengths] = space.quit_indices[
+                cells[cell_lo + lengths - 1]
+            ]
+        order = np.argsort(t_all, kind="stable")
+        self._t = t_all[order]
+        self._uid = np.repeat(uids, n_rows)[order]
+        self._idx = idx_all[order]
+        self._kind = kind_all[order]
         bounds = np.searchsorted(
             self._t, np.arange(self.n_timestamps + 1, dtype=np.int64)
         )

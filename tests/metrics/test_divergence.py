@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.divergence import (
@@ -42,6 +42,8 @@ class TestJSD:
             jensen_shannon_divergence(np.ones(2), np.ones(3))
 
     @given(p=prob_vec, q=prob_vec)
+    @example(p=[1.0, 0.0], q=[1.0, 5e-324])  # subnormal mixture underflow
+    @example(p=[1.0, 3.0], q=[1.0, 2.9999999999999987])  # rounds below 0
     @settings(max_examples=60)
     def test_bounded_and_symmetric(self, p, q):
         n = max(len(p), len(q))
