@@ -148,9 +148,9 @@ def _random_mobility(n_users, grid, n_rounds, rng):
 
 
 def test_columnar_report_plane_speedup(benchmark, quick_mode, save_artifact):
-    """ISSUE 2 acceptance: columnar report plane >= 3x the object path.
+    """Columnar report plane >= 3x the object path.
 
-    Both runs drive the *same* sharded curator (persistent worker pool,
+    Both runs drive the *same* sharded curator (K=2 serial shards,
     identical seed, so identical sampled reporter sets) over identical
     mobility; only the report representation differs.  The object path
     pays what the seed pipeline paid every round — one TransitionState
@@ -169,7 +169,7 @@ def test_columnar_report_plane_speedup(benchmark, quick_mode, save_artifact):
 
     def build_curator():
         cfg = RetraSynConfig(
-            epsilon=1.0, w=10, n_shards=2, shard_executor="process",
+            epsilon=1.0, w=10, n_shards=2, shard_executor="serial",
             engine="vectorized", seed=0, track_privacy=False,
         )
         return ShardedOnlineRetraSyn(grid, cfg, lam=10.0)
@@ -236,7 +236,7 @@ def test_columnar_report_plane_speedup(benchmark, quick_mode, save_artifact):
     save_artifact(
         "columnar_report_plane",
         f"Columnar report plane vs object path "
-        f"(n={n_users}, {n_rounds} rounds, K=2 persistent process pool)\n"
+        f"(n={n_users}, {n_rounds} rounds, K=2 serial shards)\n"
         f"  object:   {out['object_s']:.3f} s   "
         f"({out['n_reporters']} reports collected)\n"
         f"  columnar: {out['columnar_s']:.3f} s\n"

@@ -1,7 +1,7 @@
 """Determinism rules: RNG discipline, wall-clock reads, set iteration.
 
-The reproduction's core guarantee — serial ≡ process ≡ distributed
-executors produce *bit-identical* streams — holds only because every
+The reproduction's core guarantee — serial ≡ distributed executors
+produce *bit-identical* streams — holds only because every
 random draw flows through an injected, seeded
 :class:`numpy.random.Generator` in a pinned order.  These rules make the
 three classic ways of breaking that guarantee un-writable in the

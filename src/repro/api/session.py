@@ -143,7 +143,7 @@ class _SessionBase:
             if c.accountant is not None else 0.0
         )
         pool = getattr(c, "_pool", None)
-        if pool is not None and hasattr(pool, "shard_round_seconds"):
+        if pool is not None:
             shard_gauge = m.gauge(
                 "retrasyn_shard_round_seconds",
                 "Wall-clock seconds of each distributed shard's last "
@@ -154,7 +154,6 @@ class _SessionBase:
                 shard_gauge.labels(str(k)).set_function(
                     lambda k=k: float(pool.shard_round_seconds.get(k, 0.0))
                 )
-        if pool is not None and hasattr(pool, "frames_sent"):
             frames = m.counter(
                 "retrasyn_shard_frames_total",
                 "RSF2 frames exchanged with the shard workers.",

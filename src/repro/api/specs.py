@@ -46,8 +46,7 @@ UPDATE_STRATEGIES = ("dmu", "all")
 ENGINES = ("object", "vectorized")
 ORACLE_MODES = ("fast", "exact", "exact-loop")
 COMPILE_MODES = ("incremental", "full", "full-loop")
-SHARD_EXECUTORS = ("serial", "process", "distributed")
-SYNTHESIS_EXECUTORS = ("thread", "process")
+SHARD_EXECUTORS = ("serial", "distributed")
 TRANSPORTS = ("direct", "ingest")
 
 
@@ -251,9 +250,8 @@ class ShardingSpec:
         default="serial",
         metadata=_cli(
             "--shard-executor",
-            "run shards in-process, one pipe worker process each, or as "
-            "socket-framed worker services with shard-local privacy "
-            "ledgers ('distributed')",
+            "run shards in-process ('serial') or as socket-framed worker "
+            "services with shard-local privacy ledgers ('distributed')",
             choices=SHARD_EXECUTORS,
         ),
     )
@@ -272,15 +270,6 @@ class ShardingSpec:
             "slabs advancing live synthetic streams in parallel "
             "(vectorized engine only)",
             type=int,
-        ),
-    )
-    synthesis_executor: str = field(
-        default="thread",
-        metadata=_cli(
-            "--synthesis-executor",
-            "run synthesis slabs on pool threads or in worker processes "
-            "(bit-identical output either way)",
-            choices=SYNTHESIS_EXECUTORS,
         ),
     )
     shard_round_timeout: float = field(
@@ -319,11 +308,6 @@ class ShardingSpec:
         if self.synthesis_shards < 1:
             raise ConfigurationError(
                 f"synthesis_shards must be >= 1, got {self.synthesis_shards}"
-            )
-        if self.synthesis_executor not in SYNTHESIS_EXECUTORS:
-            raise ConfigurationError(
-                f"synthesis_executor must be one of {SYNTHESIS_EXECUTORS}, "
-                f"got {self.synthesis_executor!r}"
             )
         if self.shard_round_timeout < 0:
             raise ConfigurationError(

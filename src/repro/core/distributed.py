@@ -1,10 +1,9 @@
 """Distributed shard plane: per-shard worker services over binary sockets.
 
-The process executor of :class:`~repro.core.sharded.ShardedOnlineRetraSyn`
-ships each round's partitions through ``multiprocessing`` pipes — pickled
-tuples, with every privacy spend still executed by the parent.  This module
-promotes each collection shard to a *service*: a worker process speaking
-the versioned RSF2 frame protocol (:mod:`repro.api.schema`) over a local
+This module backs the ``"distributed"`` executor of
+:class:`~repro.core.sharded.ShardedOnlineRetraSyn`.  It promotes each
+collection shard to a *service*: a worker process speaking the versioned
+RSF2 frame protocol (:mod:`repro.api.schema`) over a local
 ``socketpair``, owning its partition's
 
 * :class:`~repro.core.sharded.CollectionShard` (tracker + frequency
@@ -12,11 +11,9 @@ the versioned RSF2 frame protocol (:mod:`repro.api.schema`) over a local
 * a **shard-local privacy accountant** — per-shard spends and strict
   refusals never round-trip through the parent.
 
-The coordinator side is :class:`ShardSocketPool`, a drop-in replacement
-for the pipe pool with two extra verbs (``submit`` and ``stats``) and the
-same merge contract: per-shard one-counts come back as raw ``float64``
-columns and are summed and debiased once by the parent, exactly as the
-in-process executors do.
+The coordinator side is :class:`ShardSocketPool`.  Its merge contract is
+the serial executor's: per-shard one-counts come back as raw ``float64``
+columns and are summed and debiased once by the parent.
 
 Shard RPC (all messages are v2 binary frames; see ``docs/API.md``):
 
@@ -39,7 +36,7 @@ Shard RPC (all messages are v2 binary frames; see ``docs/API.md``):
 ``shard-exit``        Orderly shutdown.
 ====================  ===================================================
 
-Why the output is bit-identical to the in-process executors: the parent
+Why the output is bit-identical to the serial executor: the parent
 draws the same per-shard seeds, each worker's :class:`CollectionShard`
 consumes its rng in exactly the same sequence as the serial executor's
 shard object, and accountant operations never touch any rng.  Moving the
@@ -421,11 +418,11 @@ def _socket_shard_worker(sock: socket.socket, grid: Grid, config, seed: int) -> 
 class ShardSocketPool:
     """Persistent shard worker services, one socket per shard.
 
-    Mirrors :class:`~repro.core.sharded.ShardWorkerPool`'s lifecycle
-    surface (``get_states`` / ``set_states`` / ``close``) and replaces
-    ``run_rounds`` with the two-phase ``submit`` / ``advance`` protocol,
-    so the budget proposal can consult the shard-local ledgers between
-    the phases.  All traffic is RSF2 binary frames: the round's columns
+    Workers are spawned once and reused for every round.  A round is the
+    two-phase ``submit`` / ``advance`` protocol, so the budget proposal
+    can consult the shard-local ledgers between the phases;
+    ``get_states`` / ``set_states`` ship whole shard states for
+    checkpoint/resume.  All traffic is RSF2 binary frames: the round's columns
     move as raw little-endian buffers, never as pickles.
     """
 
@@ -537,9 +534,9 @@ class ShardSocketPool:
         """Re-raise a worker-reported failure with its original type.
 
         Privacy refusals and configuration errors keep their classes so
-        callers' ``except`` clauses behave exactly as with the in-process
-        executors; anything else surfaces as the pools' usual
-        ``RuntimeError`` with shard context.
+        callers' ``except`` clauses behave exactly as with the serial
+        executor; anything else surfaces as a ``RuntimeError`` with shard
+        context.
         """
         error, detail = msg.get("error", "Exception"), msg.get("detail", "")
         if error == "PrivacyBudgetError":
@@ -595,9 +592,10 @@ class ShardSocketPool:
     def advance(self, t: int, rate: Optional[float], eps: float) -> list:
         """Run the staged round everywhere; one merge tuple per shard.
 
-        The tuples match ``ShardWorkerPool.run_rounds`` output —
-        ``(ones, reporter_uids, user_seconds, support)`` — so the
-        coordinator's merge code is shared across all executors.
+        The tuples match :meth:`~repro.core.sharded.CollectionShard
+        .round_batch` output — ``(ones, reporter_uids, user_seconds,
+        support)`` — so the coordinator's merge code is shared with the
+        serial executor.
         """
         tic = time.perf_counter()
         for k in range(len(self._socks)):
@@ -846,7 +844,7 @@ class DistributedAccountantView:
         eng = self._engine
         if eng is not None:
             pool = getattr(eng, "_pool", None)
-            if pool is not None and getattr(pool, "alive", False):
+            if pool is not None and pool.alive:
                 stats = pool.stats()
                 self._frozen = stats
                 return stats

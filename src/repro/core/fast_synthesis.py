@@ -50,39 +50,8 @@ from repro.rng import RngLike, ensure_rng
 #: Selectable compilation strategies (RetraSynConfig.compile_mode).
 COMPILE_MODES = ("incremental", "full", "full-loop")
 
-#: Selectable slab executors (RetraSynConfig.synthesis_executor).
-SYNTHESIS_EXECUTORS = ("thread", "process")
-
 #: Below this many live streams a shard round trip costs more than it saves.
 _MIN_STREAMS_PER_SHARD = 2048
-
-
-def _advance_slab_remote(args: tuple) -> tuple:
-    """Process-executor twin of :meth:`VectorizedSynthesizer._advance_slab`.
-
-    Runs in a worker process, so it receives slab-*local* arrays (the
-    parent gathers ``cum_probs`` / ``dest`` / ``quit_raw`` rows for the
-    slab's current cells) plus the slab's generator, and returns the
-    generator with its advanced state so the parent can thread it into
-    the next round.  The draw sequence — one uniform vector for quits,
-    one for moves, the move draw skipped when nothing stays — is exactly
-    the thread path's, which makes the two executors bit-identical.
-    """
-    lam, enable_termination, lengths, cum, dest, quit_raw, rng = args
-    n = cum.shape[0]
-    if enable_termination:
-        quit_probs = np.minimum(lengths / lam * quit_raw, 1.0)
-        quit_mask = rng.random(n) < quit_probs
-    else:
-        quit_mask = np.zeros(n, dtype=bool)
-    stay = ~quit_mask
-    n_stay = int(stay.sum())
-    if n_stay == 0:
-        return quit_mask, np.empty(0, dtype=np.int64), rng
-    draws = rng.random(n_stay)
-    dest_idx = (draws[:, None] > cum[stay]).sum(axis=1)
-    new_cells = dest[stay][np.arange(n_stay), dest_idx]
-    return quit_mask, new_cells, rng
 
 
 class _CompiledModel:
@@ -214,15 +183,8 @@ class VectorizedSynthesizer:
         Live streams are split into this many slabs, each advanced by its
         own rng and merged by concatenation.  ``1`` (default) keeps the
         single-threaded path, which consumes the main rng exactly like
-        earlier releases.
-    synthesis_executor:
-        Where slabs run: ``"thread"`` (default) on a pool of threads (the
-        heavy numpy kernels release the GIL), ``"process"`` on worker
-        processes — the parent gathers each slab's model rows, ships them
-        with the slab rng, and threads the returned rng state back, so
-        both executors are bit-identical for a fixed seed and shard
-        count.  Processes pay a per-step shipping cost and win only when
-        slab compute dominates the interpreter's share of the step.
+        earlier releases.  Slabs run on a pool of threads (the heavy
+        numpy kernels release the GIL).
     """
 
     def __init__(
@@ -234,7 +196,6 @@ class VectorizedSynthesizer:
         initial_capacity: int = 1024,
         compile_mode: str = "incremental",
         synthesis_shards: int = 1,
-        synthesis_executor: str = "thread",
     ) -> None:
         if lam <= 0:
             raise ConfigurationError(f"lambda must be positive, got {lam}")
@@ -247,18 +208,12 @@ class VectorizedSynthesizer:
             raise ConfigurationError(
                 f"synthesis_shards must be >= 1, got {synthesis_shards}"
             )
-        if synthesis_executor not in SYNTHESIS_EXECUTORS:
-            raise ConfigurationError(
-                f"synthesis_executor must be one of {SYNTHESIS_EXECUTORS}, "
-                f"got {synthesis_executor!r}"
-            )
         self.model = model
         self.lam = float(lam)
         self.enable_termination = bool(enable_termination)
         self.rng = ensure_rng(rng)
         self.compile_mode = compile_mode
         self.synthesis_shards = int(synthesis_shards)
-        self.synthesis_executor = synthesis_executor
         self.store = TrajectoryStore(initial_capacity=max(16, int(initial_capacity)))
         self._compiled: Optional[_CompiledModel] = None
         self._shard_rngs: Optional[list[np.random.Generator]] = None
@@ -380,80 +335,23 @@ class VectorizedSynthesizer:
 
     def _executor(self):
         if self._pool is None:
-            if self.synthesis_executor == "process":
-                from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ThreadPoolExecutor
 
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.synthesis_shards
-                )
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.synthesis_shards,
-                    thread_name_prefix="synthesis-shard",
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.synthesis_shards,
+                thread_name_prefix="synthesis-shard",
+            )
         return self._pool
-
-    def _generate_sharded_process(
-        self, compiled: _CompiledModel, slabs: list
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance slabs on the process pool; returns merged results.
-
-        Workers cannot see the store or the compiled model, so the parent
-        gathers each slab's rows — current cells' CDF/destination rows,
-        quit masses, lengths — and ships them with the slab rng; the
-        advanced rng comes back and replaces the parent's copy, keeping
-        the per-slab draw sequence identical to the thread executor's.
-        """
-        futures = []
-        for i, slab in enumerate(slabs):
-            cells = self.store.last_cells(slab)
-            lengths = (
-                self.store.lengths_of(slab) if self.enable_termination else None
-            )
-            futures.append(
-                self._executor().submit(
-                    _advance_slab_remote,
-                    (
-                        self.lam,
-                        self.enable_termination,
-                        lengths,
-                        compiled.cum_probs[cells],
-                        compiled.dest[cells],
-                        compiled.quit_raw[cells],
-                        self._shard_rngs[i],
-                    ),
-                )
-            )
-        quit_parts, stay_parts, cell_parts = [], [], []
-        for i, (slab, future) in enumerate(zip(slabs, futures)):
-            quit_mask, new_cells, rng = future.result()
-            self._shard_rngs[i] = rng
-            quit_parts.append(slab[quit_mask])
-            stay_parts.append(slab[~quit_mask])
-            cell_parts.append(new_cells)
-        return (
-            np.concatenate(quit_parts),
-            np.concatenate(stay_parts),
-            np.concatenate(cell_parts),
-        )
 
     def _generate(self, t: int) -> None:
         rows = self.store.live_rows()
         if rows.size == 0:
             return
         compiled = self._compile()
-        use_shards = (
+        if (
             self.synthesis_shards > 1
             and rows.size >= self.synthesis_shards * _MIN_STREAMS_PER_SHARD
-        )
-        if use_shards and self.synthesis_executor == "process":
-            slabs = np.array_split(rows, self.synthesis_shards)
-            quit_rows, stay_rows, new_cells = self._generate_sharded_process(
-                compiled, slabs
-            )
-        elif use_shards:
+        ):
             slabs = np.array_split(rows, self.synthesis_shards)
             futures = [
                 self._executor().submit(self._advance_slab, compiled, slab, rng)

@@ -232,9 +232,6 @@ class OnlineRetraSyn:
                 rng=self.rng,
                 compile_mode=getattr(config, "compile_mode", "incremental"),
                 synthesis_shards=getattr(config, "synthesis_shards", 1),
-                synthesis_executor=getattr(
-                    config, "synthesis_executor", "thread"
-                ),
             )
         else:
             self.synthesizer = Synthesizer(

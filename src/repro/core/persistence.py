@@ -164,9 +164,10 @@ def save_checkpoint(curator, path: Union[str, Path], spec=None, keep: int = 1) -
 
     Captures everything :meth:`~repro.core.online.OnlineRetraSyn
     .checkpoint_state` returns, plus the grid / config / λ needed to
-    rebuild the curator object itself.  For the process shard executor the
-    per-shard states are fetched from the worker processes first, so the
-    checkpoint is complete even though the workers hold the trackers.
+    rebuild the curator object itself.  For the distributed shard executor
+    the per-shard states are fetched from the worker processes first, so
+    the checkpoint is complete even though the workers hold the trackers
+    and shard-local ledgers.
 
     ``spec`` is the session's :class:`~repro.api.specs.SessionSpec`; when
     omitted it is lifted from the curator's flat config (losing only the
@@ -309,6 +310,9 @@ def load_checkpoint_with_spec(path: Union[str, Path]):
     from repro.core.sharded import ShardedOnlineRetraSyn
 
     payload = _read_newest_valid(path)
+    # Validate the stored config up front: a value the vocabularies no
+    # longer hold fails here, typed, not at the first re-save.
+    payload["config"].to_spec()
     cls = ShardedOnlineRetraSyn if payload["kind"] == "sharded" else OnlineRetraSyn
     curator = cls(payload["grid"], payload["config"], lam=payload["lam"])
     curator.restore_state(payload["state"])

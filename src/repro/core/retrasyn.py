@@ -66,9 +66,8 @@ class RetraSynConfig:
     engine: str = "object"  # "object" | "vectorized" synthesis engine
     compile_mode: str = "incremental"  # "incremental" | "full" | "full-loop" ref
     synthesis_shards: int = 1  # slabs for parallel vectorized generation
-    synthesis_executor: str = "thread"  # "thread" | "process" slab execution
     n_shards: int = 1  # >1 routes collection through ShardedOnlineRetraSyn
-    shard_executor: str = "serial"  # "serial" | "process" | "distributed"
+    shard_executor: str = "serial"  # "serial" | "distributed"
     shard_round_timeout: float = 60.0  # distributed recv deadline (0 = none)
     round_batch: int = 1  # timestamps coalesced per shard round (pipelining)
     dmu_prefilter: bool = False  # shard-local never-observed DMU prefilter

@@ -34,7 +34,7 @@ model and synthesize before moving on.  This module is that front door:
 
 The curator's round is CPU-bound and runs inline on the consumer task;
 the event loop's job here is flow control, not parallelism — collection
-parallelism lives in :class:`~repro.core.sharded.ShardWorkerPool`.  The
+parallelism lives in :class:`~repro.core.distributed.ShardSocketPool`.  The
 closed batches' ``user_ids`` arrays feed the curator's columnar privacy
 accountant directly (no per-uid conversion), and checkpoints written here
 carry the full accounting plane — slot table and spend ring buffer — so a

@@ -3,8 +3,8 @@
 The object-path curator moves reports around as ``(user_id,
 TransitionState)`` tuples — one Python object per user per timestamp.  At
 production population sizes that representation dominates the round cost:
-allocation, per-user dict lookups, and (for the process shard executor)
-pickling of dataclass instances.  This module defines the columnar wire
+allocation, per-user dict lookups, and (for the distributed shard
+executor) serializing dataclass instances.  This module defines the columnar wire
 format the whole pipeline speaks instead:
 
 * :class:`ReportBatch` — one timestamp's candidate reports as three
@@ -12,8 +12,8 @@ format the whole pipeline speaks instead:
   into the :class:`~repro.stream.state_space.TransitionStateSpace`, ``-1``
   for states the space cannot encode), and ``kinds`` (int8 transition
   family codes).  Batches flow unchanged from ingestion through selection,
-  the frequency oracles and shard merging; process shards receive index
-  arrays, never pickled state objects.
+  the frequency oracles and shard merging; distributed shards receive
+  index arrays, never pickled state objects.
 * :class:`ColumnarStreamView` — per-timestamp ``ReportBatch`` views over a
   finished :class:`~repro.stream.stream.StreamDataset`, built in one flat
   pass: every trajectory's cells are gathered into one array once, and

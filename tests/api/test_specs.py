@@ -60,6 +60,7 @@ class TestLayerValidation:
             (ServiceSpec, dict(drain_deadline=-1.0)),
             (ServiceSpec, dict(ingest_consumers=0)),
             (ServiceSpec, dict(http_port=70000)),
+            (ShardingSpec, dict(shard_executor="process")),  # removed value
         ],
     )
     def test_bad_fields_raise(self, layer_cls, kwargs):
@@ -180,7 +181,7 @@ class TestCliDerivation:
             "--engine", "--oracle-mode", "--compile-mode",
             "--shards", "--shard-executor", "--shard-round-timeout",
             "--round-batch", "--dmu-prefilter",
-            "--synthesis-shards", "--synthesis-executor",
+            "--synthesis-shards",
         }
 
     def test_service_cli_fields(self):

@@ -46,7 +46,7 @@ def _make(stream, n_shards, executor, **overrides):
         epsilon=1.0, w=5, seed=42, n_shards=n_shards,
         shard_executor=executor, **overrides,
     )
-    if n_shards > 1 or executor == "process":
+    if n_shards > 1:
         return ShardedOnlineRetraSyn(stream.grid, cfg, lam=5.0)
     return OnlineRetraSyn(stream.grid, cfg, lam=5.0)
 
@@ -95,8 +95,6 @@ def _drive_async(stream, curator, max_lateness=2, shuffle_seed=None):
 CONFIGS = [
     pytest.param(1, "serial", id="K1-serial"),
     pytest.param(4, "serial", id="K4-serial"),
-    pytest.param(1, "process", id="K1-process"),
-    pytest.param(4, "process", id="K4-process"),
 ]
 
 

@@ -21,6 +21,17 @@ from repro.datasets.synthetic import make_random_walks
 from repro.exceptions import ConfigurationError, DatasetError
 
 
+def _edit_checkpoint(path, edit):
+    """Rewrite the pickled checkpoint payload at ``path`` in place."""
+    import pickle
+
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    edit(payload)
+    with open(path, "wb") as fh:
+        pickle.dump(payload, fh)
+
+
 class TestModelRoundTrip:
     def test_frequencies_preserved(self, space4, rng, tmp_path):
         model = GlobalMobilityModel(space4)
@@ -147,7 +158,9 @@ class TestCheckpointResume:
         syn = curator.synthetic_dataset(data.n_timestamps)
         return [(tr.start_time, list(tr.cells)) for tr in syn.trajectories]
 
-    def _run_with_interruption(self, data, make_curator, tmp_path, half):
+    def _run_with_interruption(
+        self, data, make_curator, tmp_path, half, edit=None
+    ):
         # Uninterrupted reference run.
         ref = make_curator()
         for t in range(data.n_timestamps):
@@ -166,6 +179,8 @@ class TestCheckpointResume:
         if hasattr(first, "close"):
             first.close()
         del first
+        if edit is not None:
+            _edit_checkpoint(path, edit)
 
         resumed = load_checkpoint(path)
         assert resumed._last_t == half - 1
@@ -193,15 +208,39 @@ class TestCheckpointResume:
             tmp_path, half=data.n_timestamps // 2,
         )
 
-    def test_sharded_process_roundtrip(self, data, tmp_path):
-        """Shard state living in worker processes must survive the trip."""
+    def test_checkpoints_naming_removed_executors(self, data, tmp_path):
+        """Checkpoints written while the pipe-pool shard executor and the
+        process synthesis slabs existed: a ``shard_executor="process"``
+        config fails typed; the stale ``synthesis_executor`` attribute
+        every such checkpoint pickles is inert."""
         cfg = RetraSynConfig(
-            epsilon=1.0, w=5, seed=17, n_shards=2, shard_executor="process"
+            epsilon=1.0, w=5, seed=17, n_shards=2, engine="vectorized"
         )
+
+        def stale_executor_field(payload):
+            payload["config"].synthesis_executor = "thread"
+            payload["state"]["synthesizer"].synthesis_executor = "thread"
+
         self._run_with_interruption(
             data, lambda: ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0),
-            tmp_path, half=data.n_timestamps // 2,
+            tmp_path, half=data.n_timestamps // 2, edit=stale_executor_field,
         )
+
+        def process_executor(payload):
+            payload["config"].shard_executor = "process"
+
+        for curator in (
+            ShardedOnlineRetraSyn(data.grid, cfg, lam=5.0),
+            OnlineRetraSyn(data.grid, cfg, lam=5.0),
+        ):
+            self._step(curator, data, 0)
+            path = tmp_path / "process.ckpt"
+            save_checkpoint(curator, path)
+            if hasattr(curator, "close"):
+                curator.close()
+            _edit_checkpoint(path, process_executor)
+            with pytest.raises(ConfigurationError, match="shard_executor"):
+                load_checkpoint(path)
 
     def test_resumed_accountant_keeps_enforcing(self, data, tmp_path):
         """The restored ledger still refuses over-budget spends."""

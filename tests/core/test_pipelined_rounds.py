@@ -69,7 +69,7 @@ def _drive(stream, curator, depth):
 
 
 DEPTHS = [pytest.param(3, id="depth3"), pytest.param(8, id="depth8")]
-EXECUTORS = ["serial", "process", "distributed"]
+EXECUTORS = ["serial", "distributed"]
 
 
 class TestDepthsBitIdentical:

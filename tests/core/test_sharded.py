@@ -183,26 +183,12 @@ class TestShardCountInvariance:
 
 
 class TestProcessExecutor:
-    def test_process_matches_serial(self, small_stream):
-        """Both executors share shard seeds => identical outputs."""
-        outs = {}
-        for executor in ("serial", "process"):
-            cfg = RetraSynConfig(
-                epsilon=1.0, w=5, n_shards=2, shard_executor=executor, seed=7
-            )
-            run = RetraSyn(cfg).run(small_stream)
-            outs[executor] = run
-        assert (
-            outs["serial"].reporters_per_timestamp
-            == outs["process"].reporters_per_timestamp
-        )
-        assert len(outs["serial"].synthetic) == len(outs["process"].synthetic)
-        assert outs["process"].accountant.verify()
+    """Executors backed by worker processes."""
 
     def test_close_is_idempotent(self, small_stream):
         cfg = RetraSynConfig(epsilon=1.0, w=5, seed=0)
         curator = ShardedOnlineRetraSyn(
-            small_stream.grid, cfg, lam=5.0, n_shards=2, executor="process"
+            small_stream.grid, cfg, lam=5.0, n_shards=2, executor="distributed"
         )
         curator.close()
         curator.close()

@@ -595,13 +595,12 @@ class TestHungShardWorker:
 class TestShardWorkerDeath:
     """A shard worker killed mid-run surfaces as a typed ShardWorkerError.
 
-    Both multiprocess pools — the pipe-based ``ShardWorkerPool`` and the
-    socket-framed ``ShardSocketPool`` — must detect the dead peer on the
+    The socket-framed ``ShardSocketPool`` must detect the dead peer on the
     next round trip and raise :class:`~repro.exceptions.ShardWorkerError`
     naming the shard, instead of dying on a bare EOF/EPIPE.
     """
 
-    @pytest.mark.parametrize("executor", ["process", "distributed"])
+    @pytest.mark.parametrize("executor", ["distributed"])
     def test_sigkill_one_worker_mid_round(self, walk_data, executor):
         import signal
 
